@@ -19,7 +19,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use bytes::{Bytes, BytesMut};
+use bytes::BytesMut;
 use pdn_crypto::hmac::HmacKey;
 use pdn_crypto::{base64url, ct_eq, jwt, reference};
 use pdn_simnet::SimRng;
@@ -106,68 +106,6 @@ fn run_baseline(payload: &[u8], iters: usize) -> f64 {
     dt
 }
 
-/// One timed batch run: `iters` flushes of `batch` records, each flush one
-/// `seal_batch_into` + one `open_batch_into` (the channel's multi-record
-/// message path). Returns records/sec.
-fn run_batch(payload: &[u8], batch: usize, iters: usize) -> f64 {
-    let (mut c, mut s) = dtls_pair(17);
-    let plaintexts: Vec<&[u8]> = vec![payload; batch];
-    let mut outs = Vec::new();
-    let mut records: Vec<Bytes> = Vec::new();
-    let mut opens = Vec::new();
-    let mut results = Vec::new();
-    let mut flush = |c: &mut DtlsEndpoint, s: &mut DtlsEndpoint| {
-        c.seal_batch_into(&plaintexts, &mut outs).expect("seal");
-        records.clear();
-        for o in &mut outs[..batch] {
-            records.push(std::mem::take(o).freeze());
-        }
-        s.open_batch_into(&records, &mut opens, &mut results);
-        for r in &results {
-            r.as_ref().expect("open");
-        }
-    };
-    flush(&mut c, &mut s); // warm buffers and scratch
-    let t = Instant::now();
-    for _ in 0..iters {
-        flush(&mut c, &mut s);
-    }
-    (iters * batch) as f64 / t.elapsed().as_secs_f64()
-}
-
-/// Allocations per record across a warm burst receive: only the
-/// `open_batch_into` calls are counted (sealing fresh records each flush
-/// happens outside the counted windows).
-fn batch_open_allocs(payload: &[u8], batch: usize, iters: usize) -> f64 {
-    let (mut c, mut s) = dtls_pair(23);
-    let plaintexts: Vec<&[u8]> = vec![payload; batch];
-    let mut outs = Vec::new();
-    let mut opens = Vec::new();
-    let mut results = Vec::new();
-    let seal = |c: &mut DtlsEndpoint, outs: &mut Vec<BytesMut>| -> Vec<Bytes> {
-        c.seal_batch_into(&plaintexts, outs).expect("seal");
-        outs[..batch]
-            .iter_mut()
-            .map(|o| std::mem::take(o).freeze())
-            .collect()
-    };
-    // Warm: first open sizes the plaintext buffers and the endpoint's
-    // batch scratch (lane states, digests, tags).
-    let records = seal(&mut c, &mut outs);
-    s.open_batch_into(&records, &mut opens, &mut results);
-    let mut counted = 0u64;
-    for _ in 0..iters {
-        let records = seal(&mut c, &mut outs);
-        let before = ALLOCS.load(Ordering::Relaxed);
-        s.open_batch_into(&records, &mut opens, &mut results);
-        counted += ALLOCS.load(Ordering::Relaxed) - before;
-        for r in &results {
-            r.as_ref().expect("open");
-        }
-    }
-    counted as f64 / (iters * batch) as f64
-}
-
 /// Allocations per record across a steady-state seal+open loop.
 fn allocs_per_record(payload: &[u8], iters: usize) -> f64 {
     let (mut c, mut s) = dtls_pair(23);
@@ -222,34 +160,6 @@ fn main() {
     dtls_rows.pop(); // trailing ",\n"
 
     let alloc_rate = allocs_per_record(&vec![7u8; 1200], (4000 / scale).max(50));
-
-    // --- Batched record engine: records/sec per batch size, one wide
-    // keystream + HMAC pass per flush vs per-record sealing. ---
-    let batch_payload: Vec<u8> = (0..1200).map(|i| (i % 251) as u8).collect();
-    let batch_sizes = [1usize, 4, 8, 16];
-    // Interleave the batch sizes within each round (as the dtls rows do)
-    // so frequency scaling drifts hit every size equally.
-    let mut batch_samples: Vec<Vec<f64>> = vec![Vec::new(); batch_sizes.len()];
-    for _ in 0..RUNS {
-        for (bi, &batch) in batch_sizes.iter().enumerate() {
-            let iters = (3000 / scale / batch).max(10);
-            batch_samples[bi].push(run_batch(&batch_payload, batch, iters));
-        }
-    }
-    let mut batch_rows = String::new();
-    let mut batch_rps = Vec::new();
-    for (bi, &batch) in batch_sizes.iter().enumerate() {
-        let rps = median(batch_samples[bi].clone());
-        let mbps = rps * batch_payload.len() as f64 / 1e6;
-        batch_rows.push_str(&format!(
-            "    {{\"batch\": {batch}, \"records_per_sec\": {rps:.0}, \
-             \"mb_per_sec\": {mbps:.1}}},\n"
-        ));
-        batch_rps.push(rps);
-    }
-    batch_rows.pop();
-    batch_rows.pop(); // trailing ",\n"
-    let batch_alloc_rate = batch_open_allocs(&batch_payload, 8, (400 / scale).max(20));
 
     // --- STUN MESSAGE-INTEGRITY: checks/sec, per-check key schedule vs
     // cached HmacKey. ---
@@ -317,14 +227,10 @@ fn main() {
     let jwt_old = jwt_iters as f64 / median(old_s);
 
     let hw = pdn_crypto::sha256::hw_accelerated();
-    let wide = pdn_crypto::sha256::multibuffer_profitable();
     let json = format!(
         "{{\n  \"quick\": {quick},\n  \"sha_hw_accelerated\": {hw},\n  \
-         \"sha_multibuffer_profitable\": {wide},\n  \
          \"dtls_seal_open\": [\n{dtls_rows}\n  ],\n  \
          \"dtls_allocs_per_record_steady_state\": {alloc_rate:.3},\n  \
-         \"dtls_batch_roundtrip\": [\n{batch_rows}\n  ],\n  \
-         \"dtls_batch_open_allocs_per_record\": {batch_alloc_rate:.3},\n  \
          \"stun_checks_per_sec_new\": {stun_new:.0},\n  \
          \"stun_checks_per_sec_old\": {stun_old:.0},\n  \
          \"stun_speedup\": {:.2},\n  \
@@ -343,23 +249,6 @@ fn main() {
     assert!(
         alloc_rate == 0.0,
         "steady-state seal+open must not allocate (got {alloc_rate:.3} allocs/record)"
-    );
-    assert!(
-        batch_alloc_rate == 0.0,
-        "warm burst receive (open_batch_into) must not allocate \
-         (got {batch_alloc_rate:.3} allocs/record)"
-    );
-    // The batch engine dispatches on a hardware probe: hosts whose SHA
-    // unit pipelines multi-buffer streams get the wide kernels (a real
-    // win), throughput-bound hosts fall back to the fused per-record
-    // kernel (parity). Either way, batching a flush must never cost more
-    // than measurement noise over sealing record by record.
-    assert!(
-        batch_rps[2] >= 0.92 * batch_rps[0],
-        "batch-8 round trip must not lose to per-record \
-         ({:.0} vs {:.0} records/sec)",
-        batch_rps[2],
-        batch_rps[0]
     );
     // Both paths pay one compression per 32 keystream bytes; the fast
     // path's margin at large payloads comes from running them on the CPU's

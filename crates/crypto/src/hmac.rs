@@ -11,9 +11,12 @@
 //! clones a midstate instead of re-running the key schedule, cutting two of
 //! the four compressions a short one-shot MAC costs. Hot callers — DTLS
 //! record tags, the STUN connectivity-check storm, JWT validation, SIM
-//! verification — hold one `HmacKey` per secret and reuse it.
+//! verification — hold one `HmacKey` per secret and reuse it. The DTLS
+//! record kernel goes one step further and drives the inner and outer
+//! chains itself from [`HmacKey::inner_midstate`] and
+//! [`HmacKey::outer_midstate`], one record at a time.
 
-use crate::sha256::{compress_wide, Midstate, Sha256, BLOCK_LEN, DIGEST_LEN};
+use crate::sha256::{Midstate, Sha256, BLOCK_LEN, DIGEST_LEN};
 
 /// Computes `HMAC-SHA256(key, msg)`.
 ///
@@ -125,48 +128,6 @@ impl HmacKey {
     /// value for the outer hash. See [`Self::inner_midstate`].
     pub fn outer_midstate(&self) -> Midstate {
         self.outer
-    }
-
-    /// Finishes a batch of MACs at once: computes the outer-hash tag for
-    /// each inner digest through the wide multi-buffer compressor
-    /// ([`crate::sha256::compress_wide`]), eight lanes per pass.
-    ///
-    /// The outer hash absorbs exactly opad-block + 32-byte digest, so its
-    /// padded tail is a single fixed-shape block per record; batching those
-    /// blocks lets one lane set amortize the SHA round latency across all
-    /// records of a DTLS channel flush. Bit-identical to finishing each MAC
-    /// with [`hmac_sha256_keyed`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tags` is shorter than `inner_digests`.
-    pub fn outer_tags_into(
-        &self,
-        inner_digests: &[[u8; DIGEST_LEN]],
-        tags: &mut [[u8; DIGEST_LEN]],
-    ) {
-        assert!(
-            tags.len() >= inner_digests.len(),
-            "one tag slot per inner digest"
-        );
-        const GROUP: usize = 8;
-        let bit_len = (((BLOCK_LEN + DIGEST_LEN) as u64) * 8).to_be_bytes();
-        let mut i = 0;
-        while i < inner_digests.len() {
-            let n = (inner_digests.len() - i).min(GROUP);
-            let mut states = [self.outer; GROUP];
-            let mut blocks = [[0u8; BLOCK_LEN]; GROUP];
-            for (b, d) in blocks.iter_mut().zip(&inner_digests[i..i + n]) {
-                b[..DIGEST_LEN].copy_from_slice(d);
-                b[DIGEST_LEN] = 0x80;
-                b[56..].copy_from_slice(&bit_len);
-            }
-            compress_wide(&mut states[..n], &blocks[..n]);
-            for (t, s) in tags[i..i + n].iter_mut().zip(&states) {
-                *t = s.to_bytes();
-            }
-            i += n;
-        }
     }
 }
 
@@ -320,29 +281,6 @@ mod tests {
             hmac_sha256_keyed(&key, &[b"a", b"", b"bcd", b"efghi", b"j"]),
             whole
         );
-    }
-
-    #[test]
-    fn outer_tags_into_matches_keyed_hmac() {
-        let key = HmacKey::new(b"batch-key");
-        // Lengths cross every wide-dispatch tail (8/4/2/1) and the
-        // multi-group path.
-        for n in [0usize, 1, 2, 3, 4, 5, 7, 8, 9, 16, 17] {
-            let msgs: Vec<Vec<u8>> = (0..n).map(|i| vec![i as u8; 10 + i]).collect();
-            let digests: Vec<[u8; DIGEST_LEN]> = msgs
-                .iter()
-                .map(|m| {
-                    let mut inner = Sha256::from_midstate(key.inner_midstate(), BLOCK_LEN as u64);
-                    inner.update(m);
-                    inner.finalize()
-                })
-                .collect();
-            let mut tags = vec![[0u8; DIGEST_LEN]; n];
-            key.outer_tags_into(&digests, &mut tags);
-            for (tag, m) in tags.iter().zip(&msgs) {
-                assert_eq!(*tag, hmac_sha256_keyed(&key, &[m]), "batch of {n}");
-            }
-        }
     }
 
     #[test]

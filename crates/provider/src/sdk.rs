@@ -527,9 +527,9 @@ impl PdnAgent {
     /// When the whole burst is DTLS application data from a peer with an
     /// established data channel, it is opened as one batch: a single CPU
     /// charge for the summed record bytes (the cost model is linear, so
-    /// this equals the per-record charges) and one wide keystream + HMAC
-    /// pass over every record, with decoded messages running through the
-    /// normal P2P frame handler. Anything else — handshake flights, STUN,
+    /// this equals the per-record charges) and one
+    /// [`DataChannel::receive_batch`] over every record, with decoded
+    /// messages running through the normal P2P frame handler. Anything else — handshake flights, STUN,
     /// unknown peers — falls back to the per-frame [`PdnAgent::on_udp`].
     pub fn on_udp_burst(&mut self, from: Addr, frames: &[Bytes], now: SimTime) -> Vec<AgentOut> {
         let conn_idx = self

@@ -5,10 +5,18 @@
 //! message across records and reassembles on the far side, preserving
 //! message boundaries — the unit the PDN scheduler and the pollution
 //! attacks operate on.
+//!
+//! Reassembly state is sized by what the peer actually delivered, never by
+//! what a chunk header claims: a partial message holds only the chunks
+//! received so far, and at most [`MAX_PARTIALS`] partial messages are kept
+//! (the lowest `msg_id` is evicted first). A malicious peer — the paper's
+//! adversary — therefore cannot pin memory with forged `total_chunks`
+//! values.
+
+use std::collections::BTreeMap;
 
 use bytes::{BufMut, Bytes, BytesMut};
 use pdn_simnet::wire::{get_uvarint, put_uvarint, MAX_UVARINT_LEN};
-use pdn_simnet::FxHashMap;
 
 use crate::dtls::{DtlsEndpoint, DtlsError, MAX_RECORD_PLAINTEXT};
 
@@ -17,15 +25,21 @@ use crate::dtls::{DtlsEndpoint, DtlsError, MAX_RECORD_PLAINTEXT};
 /// keeps `CHUNK_DATA` a compile-time constant.
 const MAX_CHUNK_HEADER: usize = 3 * MAX_UVARINT_LEN;
 const CHUNK_DATA: usize = MAX_RECORD_PLAINTEXT - MAX_CHUNK_HEADER;
-/// Upper bound on `total_chunks` accepted from the wire: caps reassembly
-/// memory against a forged header (≈64 GiB of claimed message at the
-/// record size, far above any real segment).
+/// Upper bound on `total_chunks` accepted from the wire (≈64 GiB of
+/// claimed message at the record size, far above any real segment).
+/// Reassembly memory does not scale with this value.
 const MAX_CHUNKS: u64 = 1 << 22;
+/// Upper bound on partially reassembled messages per channel. A sender
+/// completes each message before starting the next, so only reordering
+/// and loss leave more than one outstanding; past the cap the oldest
+/// (lowest `msg_id`) partial is dropped.
+const MAX_PARTIALS: usize = 64;
 
+/// The chunks of one message received so far, keyed by chunk index.
 #[derive(Debug)]
 struct Partial {
-    chunks: Vec<Option<Bytes>>,
-    received: usize,
+    total: usize,
+    chunks: BTreeMap<usize, Bytes>,
 }
 
 /// A message-oriented channel over an established [`DtlsEndpoint`].
@@ -33,18 +47,10 @@ struct Partial {
 pub struct DataChannel {
     dtls: DtlsEndpoint,
     next_msg_id: u64,
-    partials: FxHashMap<u64, Partial>,
-    /// Reused chunk-frame staging buffers: after the first message of a
-    /// given chunk count, `send_message` performs no per-chunk frame
-    /// allocation. One buffer per record so a whole flush can be sealed
-    /// as a single batch.
-    frames: Vec<BytesMut>,
-    /// Reused seal output buffers (the sealed bytes themselves leave as
-    /// frozen `Bytes`, but the `Vec` and its headroom persist).
-    seal_outs: Vec<BytesMut>,
-    /// Reused batch-open scratch: plaintext buffers and per-record verdicts.
-    open_outs: Vec<BytesMut>,
-    open_results: Vec<Result<(), DtlsError>>,
+    partials: BTreeMap<u64, Partial>,
+    /// Reused chunk-frame staging buffer: after the first full-size chunk,
+    /// `send_message` performs no frame allocation.
+    frame: BytesMut,
 }
 
 impl DataChannel {
@@ -61,11 +67,8 @@ impl DataChannel {
         DataChannel {
             dtls,
             next_msg_id: 0,
-            partials: FxHashMap::default(),
-            frames: Vec::new(),
-            seal_outs: Vec::new(),
-            open_outs: Vec::new(),
-            open_results: Vec::new(),
+            partials: BTreeMap::new(),
+            frame: BytesMut::new(),
         }
     }
 
@@ -74,12 +77,8 @@ impl DataChannel {
         &self.dtls
     }
 
-    /// Encrypts `message` into one or more wire records.
-    ///
-    /// The whole flush is sealed as one DTLS batch: every chunk frame is
-    /// staged first, then a single [`DtlsEndpoint::seal_batch_into`] call
-    /// runs one keystream pipeline and one wide HMAC pass over all records
-    /// instead of N independent seals.
+    /// Encrypts `message` into one or more wire records, one
+    /// [`DtlsEndpoint::seal_into`] per chunk.
     ///
     /// # Errors
     ///
@@ -89,27 +88,28 @@ impl DataChannel {
         let msg_id = self.next_msg_id;
         self.next_msg_id += 1;
         let total = message.len().div_ceil(CHUNK_DATA).max(1) as u64;
-        let n = total as usize;
-        if self.frames.len() < n {
-            self.frames.resize_with(n, BytesMut::new);
-        }
+        let mut records = Vec::with_capacity(total as usize);
         let mut chunks = message.chunks(CHUNK_DATA);
-        for (idx, frame) in self.frames[..n].iter_mut().enumerate() {
+        for idx in 0..total {
             let body = chunks.next().unwrap_or(&[]);
-            frame.clear();
-            frame.reserve(MAX_CHUNK_HEADER + body.len());
-            put_uvarint(frame, msg_id);
-            put_uvarint(frame, idx as u64);
-            put_uvarint(frame, total);
-            frame.put_slice(body);
-        }
-        let refs: Vec<&[u8]> = self.frames[..n].iter().map(|f| f.as_ref()).collect();
-        self.dtls.seal_batch_into(&refs, &mut self.seal_outs)?;
-        let mut records = Vec::with_capacity(n);
-        for out in &mut self.seal_outs[..n] {
-            records.push(std::mem::take(out).freeze());
+            self.frame.clear();
+            self.frame.reserve(MAX_CHUNK_HEADER + body.len());
+            put_uvarint(&mut self.frame, msg_id);
+            put_uvarint(&mut self.frame, idx);
+            put_uvarint(&mut self.frame, total);
+            self.frame.put_slice(body);
+            let mut out = BytesMut::new();
+            self.dtls.seal_into(&self.frame, &mut out)?;
+            records.push(out.freeze());
         }
         Ok(records)
+    }
+
+    /// Opens one wire record into a fresh buffer holding its chunk frame.
+    fn open_frame(&mut self, record: &[u8]) -> Result<Bytes, DtlsError> {
+        let mut out = BytesMut::new();
+        self.dtls.open_into(record, &mut out)?;
+        Ok(out.freeze())
     }
 
     /// Feeds one wire record; returns a complete message when reassembled.
@@ -121,7 +121,7 @@ impl DataChannel {
     pub fn receive_record(&mut self, record: &[u8]) -> Result<Option<Bytes>, DtlsError> {
         let frame = {
             let _g = pdn_simnet::profile::phase(pdn_simnet::profile::Phase::Crypto);
-            self.dtls.open(record)?
+            self.open_frame(record)?
         };
         self.ingest_plaintext(frame)
     }
@@ -129,24 +129,17 @@ impl DataChannel {
     /// Feeds a burst of wire records in one pass; completed messages are
     /// appended to `msgs` in record order.
     ///
-    /// All records are opened with one [`DtlsEndpoint::open_batch_into`]
-    /// call (one keystream pipeline, one wide HMAC pass) before any chunk
-    /// is reassembled. Records that fail authentication, replay, or chunk
-    /// framing are skipped — the same outcome as the per-record receive
-    /// path, where the harness drops erroring records.
+    /// Every record is opened (in order, so the replay window evolves as on
+    /// the per-record path) before any chunk is reassembled. Records that
+    /// fail authentication, replay, or chunk framing are skipped — the same
+    /// outcome as [`Self::receive_record`], whose errors the harness drops.
     pub fn receive_batch(&mut self, records: &[Bytes], msgs: &mut Vec<Bytes>) {
+        let mut frames = Vec::with_capacity(records.len());
         {
             let _g = pdn_simnet::profile::phase(pdn_simnet::profile::Phase::Crypto);
-            self.dtls
-                .open_batch_into(records, &mut self.open_outs, &mut self.open_results);
+            frames.extend(records.iter().filter_map(|r| self.open_frame(r).ok()));
         }
-        for i in 0..records.len() {
-            if self.open_results[i].is_err() {
-                continue;
-            }
-            // Moving the buffer out hands the decrypted bytes to
-            // reassembly without a copy; the slot is regrown next batch.
-            let frame = std::mem::take(&mut self.open_outs[i]).freeze();
+        for frame in frames {
             if let Ok(Some(msg)) = self.ingest_plaintext(frame) {
                 msgs.push(msg);
             }
@@ -174,32 +167,27 @@ impl DataChannel {
             // IS the message — no partial-map entry, no reassembly copy.
             return Ok(Some(body));
         }
+        if self.partials.len() >= MAX_PARTIALS && !self.partials.contains_key(&msg_id) {
+            self.partials.pop_first();
+        }
         let partial = self.partials.entry(msg_id).or_insert_with(|| Partial {
-            chunks: vec![None; total],
-            received: 0,
+            total,
+            chunks: BTreeMap::new(),
         });
-        if partial.chunks.len() != total {
+        if partial.total != total {
             return Err(DtlsError::BadRecord);
         }
-        if partial.chunks[idx].is_none() {
-            partial.chunks[idx] = Some(body);
-            partial.received += 1;
+        partial.chunks.entry(idx).or_insert(body);
+        if partial.chunks.len() < total {
+            return Ok(None);
         }
-        if partial.received == total {
-            let partial = self.partials.remove(&msg_id).expect("just inserted");
-            let len: usize = partial
-                .chunks
-                .iter()
-                .map(|c| c.as_ref().map_or(0, Bytes::len))
-                .sum();
-            let mut out = BytesMut::with_capacity(len);
-            for c in partial.chunks {
-                out.put_slice(&c.expect("all chunks received"));
-            }
-            Ok(Some(out.freeze()))
-        } else {
-            Ok(None)
+        let chunks = self.partials.remove(&msg_id).expect("present").chunks;
+        let len = chunks.values().map(Bytes::len).sum();
+        let mut out = BytesMut::with_capacity(len);
+        for c in chunks.values() {
+            out.put_slice(c);
         }
+        Ok(Some(out.freeze()))
     }
 
     /// Number of messages with outstanding chunks.
@@ -355,6 +343,57 @@ mod tests {
         assert_eq!(b.pending_messages(), 0);
     }
 
+    /// An unauthenticated-layer chunk frame, as the DTLS layer would
+    /// deliver it after opening a record.
+    fn frame(msg_id: u64, idx: u64, total: u64, body: &[u8]) -> Bytes {
+        let mut f = BytesMut::new();
+        put_uvarint(&mut f, msg_id);
+        put_uvarint(&mut f, idx);
+        put_uvarint(&mut f, total);
+        f.put_slice(body);
+        f.freeze()
+    }
+
+    #[test]
+    fn forged_total_holds_only_received_chunks() {
+        let (_, mut b) = channel_pair();
+        assert!(b
+            .ingest_plaintext(frame(5, 0, MAX_CHUNKS, b"x"))
+            .unwrap()
+            .is_none());
+        let p = &b.partials[&5];
+        assert_eq!((p.total, p.chunks.len()), (MAX_CHUNKS as usize, 1));
+        // A chunk claiming another total for the same message is rejected.
+        assert!(b.ingest_plaintext(frame(5, 1, 2, b"y")).is_err());
+    }
+
+    #[test]
+    fn partials_are_capped_evicting_lowest_msg_id() {
+        let (_, mut b) = channel_pair();
+        let extra = 3u64;
+        for id in 0..MAX_PARTIALS as u64 + extra {
+            assert!(b.ingest_plaintext(frame(id, 0, 2, b"a")).unwrap().is_none());
+            assert!(b.pending_messages() <= MAX_PARTIALS);
+        }
+        assert_eq!(b.pending_messages(), MAX_PARTIALS);
+        assert_eq!(b.partials.keys().next(), Some(&extra));
+        // The newest partial still completes; the evicted oldest cannot.
+        let last = MAX_PARTIALS as u64 + extra - 1;
+        let msg = b.ingest_plaintext(frame(last, 1, 2, b"b")).unwrap();
+        assert_eq!(msg.as_deref(), Some(&b"ab"[..]));
+        assert!(b.ingest_plaintext(frame(0, 1, 2, b"b")).unwrap().is_none());
+    }
+
+    #[test]
+    fn duplicate_chunk_keeps_first_copy() {
+        let (_, mut b) = channel_pair();
+        assert!(b.ingest_plaintext(frame(1, 1, 2, b"2")).unwrap().is_none());
+        assert!(b.ingest_plaintext(frame(1, 1, 2, b"X")).unwrap().is_none());
+        let msg = b.ingest_plaintext(frame(1, 0, 2, b"1")).unwrap();
+        assert_eq!(msg.as_deref(), Some(&b"12"[..]));
+        assert_eq!(b.pending_messages(), 0);
+    }
+
     #[test]
     #[should_panic(expected = "established")]
     fn requires_established_session() {
@@ -362,5 +401,96 @@ mod tests {
         let cert = Certificate::generate(&mut rng);
         let (c, _) = DtlsEndpoint::client(cert, None, &mut rng);
         let _ = DataChannel::new(c);
+    }
+}
+
+#[cfg(test)]
+mod prop_tests {
+    //! The burst receive path must be observationally identical to folding
+    //! the per-record path over the same wire sequence, for any message
+    //! sizes and any hostile damage to the records in flight.
+
+    use super::*;
+    use crate::cert::Certificate;
+    use crate::dtls::handshake;
+    use pdn_simnet::SimRng;
+    use proptest::prelude::*;
+
+    /// Seed-deterministic: every call yields endpoints with identical keys,
+    /// so two receivers accept the same sender's records.
+    fn channel_pair() -> (DataChannel, DataChannel) {
+        let mut rng = SimRng::seed(21);
+        let ccert = Certificate::generate(&mut rng);
+        let scert = Certificate::generate(&mut rng);
+        let (cfp, sfp) = (ccert.fingerprint(), scert.fingerprint());
+        let (mut c, hello) = DtlsEndpoint::client(ccert, Some(sfp), &mut rng);
+        let mut s = DtlsEndpoint::server(scert, Some(cfp), &mut rng);
+        handshake(&mut c, hello, &mut s, &mut rng).unwrap();
+        (DataChannel::new(c), DataChannel::new(s))
+    }
+
+    /// Damages `wire` in flight. Per record, `op` keeps it, truncates it,
+    /// flips one bit, replays an earlier record in its place, or drops it;
+    /// then `swaps` reorders the survivors.
+    fn damage(wire: Vec<Bytes>, ops: &[(u8, u32)], swaps: &[(usize, usize)]) -> Vec<Bytes> {
+        let mut out: Vec<Bytes> = Vec::new();
+        for (i, rec) in wire.into_iter().enumerate() {
+            let (op, p) = ops[i % ops.len()];
+            let p = p as usize;
+            match op % 5 {
+                1 => out.push(rec.slice(..p % rec.len())),
+                2 => {
+                    let mut v = rec.to_vec();
+                    let bit = p % (v.len() * 8);
+                    v[bit / 8] ^= 1 << (bit % 8);
+                    out.push(Bytes::from(v));
+                }
+                3 if !out.is_empty() => {
+                    let earlier = out[p % out.len()].clone();
+                    out.push(earlier);
+                }
+                4 => {}
+                _ => out.push(rec),
+            }
+        }
+        if !out.is_empty() {
+            for &(a, b) in swaps {
+                let n = out.len();
+                out.swap(a % n, b % n);
+            }
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn burst_receive_matches_per_record_under_damage(
+            sizes in proptest::collection::vec(0usize..2 * CHUNK_DATA + 64, 1..5),
+            ops in proptest::collection::vec((0u8..5, any::<u32>()), 1..16),
+            swaps in proptest::collection::vec((any::<usize>(), any::<usize>()), 0..4),
+            burst in 1usize..6,
+        ) {
+            let (mut tx, mut rx_burst) = channel_pair();
+            let (_, mut rx_seq) = channel_pair();
+            let mut wire = Vec::new();
+            for (m, &n) in sizes.iter().enumerate() {
+                let msg: Vec<u8> = (0..n).map(|i| (i * 7 + m) as u8).collect();
+                wire.extend(tx.send_message(&msg).unwrap());
+            }
+            let wire = damage(wire, &ops, &swaps);
+
+            let mut burst_msgs = Vec::new();
+            for chunk in wire.chunks(burst) {
+                rx_burst.receive_batch(chunk, &mut burst_msgs);
+            }
+            let seq_msgs: Vec<Bytes> = wire
+                .iter()
+                .filter_map(|r| rx_seq.receive_record(r).ok().flatten())
+                .collect();
+            prop_assert_eq!(burst_msgs, seq_msgs);
+            prop_assert_eq!(rx_burst.pending_messages(), rx_seq.pending_messages());
+        }
     }
 }

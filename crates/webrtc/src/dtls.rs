@@ -34,6 +34,13 @@
 //!   one-full-hash-per-32-bytes design is preserved as
 //!   [`apply_keystream_v1`] and the old/new keystreams are distinguishable
 //!   in tests.
+//! - Each record runs through one fused kernel that pairs every HMAC block
+//!   with a keystream lane on the two-stream SHA compressor (see the
+//!   private `fused` module). This is the only record path: a multi-record
+//!   channel flush is a loop of `seal_into`/`open_into`. Packing lanes
+//!   from several records into a wider schedule does not pay on
+//!   throughput-bound SHA units, where four interleaved streams run
+//!   slower than serial.
 //!
 //! The pre-fast-path record path survives as
 //! [`DtlsEndpoint::seal_baseline`] / [`DtlsEndpoint::open_baseline`]
@@ -151,7 +158,9 @@ pub struct DtlsEndpoint {
     expected_peer: Option<Fingerprint>,
     dh_secret: u64,
     state: State,
-    /// Keys: (enc send, enc recv, mac send, mac recv) once established.
+    /// Session keys (both directions' keystream keys plus the record-MAC
+    /// key) once established, or from ServerHello on while the server
+    /// awaits the client Finished.
     keys: Option<SessionKeys>,
     send_seq: u64,
     replay: ReplayWindow,
@@ -161,9 +170,6 @@ pub struct DtlsEndpoint {
     last_flight: Option<Bytes>,
     /// Reusable record buffer backing the allocating `seal`/`open` wrappers.
     scratch: BytesMut,
-    /// Reusable buffers for the batch record engine
-    /// ([`Self::seal_batch_into`] / [`Self::open_batch_into`]).
-    batch: fused::BatchScratch,
 }
 
 /// Anti-replay sliding window (RFC 6347 §4.1.2.6 style): accepts reordered
@@ -294,10 +300,9 @@ impl KeystreamKey {
 /// block. Both streams are bit-identical to the unfused paths: the same
 /// lane blocks, the same Merkle–Damgård padding, the same tag.
 mod fused {
-    use super::{KeystreamKey, HEADER_LEN, TAG_LEN};
-    use bytes::{Bytes, BytesMut};
+    use super::{KeystreamKey, HEADER_LEN};
     use pdn_crypto::hmac::HmacKey;
-    use pdn_crypto::sha256::{self, compress_wide, Midstate};
+    use pdn_crypto::sha256::Midstate;
 
     /// The keystream input block for `(seq, block_idx, lane)` — layout
     /// identical to [`KeystreamKey::apply`].
@@ -466,334 +471,6 @@ mod fused {
         finalize_inner(&mut h, &msg[full_msg_blocks * 64..], 64 + msg.len());
         outer_tag(mac, &h)
     }
-
-    /// Reusable buffers for the batch record engine. Lives on the endpoint
-    /// so a warm batch path performs zero heap allocations; vectors grow to
-    /// the largest batch seen and are never shrunk.
-    #[derive(Debug, Default)]
-    pub(super) struct BatchScratch {
-        /// Per-record inner-hash chain states.
-        states: Vec<Midstate>,
-        /// Structural validity per record of an open batch (filled by the
-        /// endpoint; invalid records are skipped by every engine phase).
-        pub(super) valid: Vec<bool>,
-        /// Per-record inner digests feeding the wide outer pass.
-        digests: Vec<[u8; 32]>,
-        /// Per-record untruncated tags (produced for seal, expected for
-        /// open).
-        pub(super) tags: Vec<[u8; 32]>,
-    }
-
-    /// Accumulates `(record, block)` pairs and folds each block into that
-    /// record's chain state through the wide compressor, up to eight chains
-    /// per pass.
-    ///
-    /// A chain's next block depends on its previous one, so the caller must
-    /// `flush` between rounds that could feed the same record twice; within
-    /// one round every record appears at most once and groups pack freely.
-    struct WideChain<'a> {
-        states: &'a mut [Midstate],
-        g_states: [Midstate; 8],
-        g_blocks: [[u8; 64]; 8],
-        g_idx: [usize; 8],
-        filled: usize,
-    }
-
-    impl<'a> WideChain<'a> {
-        fn new(states: &'a mut [Midstate], fill: Midstate) -> Self {
-            WideChain {
-                states,
-                g_states: [fill; 8],
-                g_blocks: [[0u8; 64]; 8],
-                g_idx: [0; 8],
-                filled: 0,
-            }
-        }
-
-        fn push(&mut self, i: usize, block: &[u8; 64]) {
-            self.g_states[self.filled] = self.states[i];
-            self.g_blocks[self.filled] = *block;
-            self.g_idx[self.filled] = i;
-            self.filled += 1;
-            if self.filled == 8 {
-                self.flush();
-            }
-        }
-
-        fn flush(&mut self) {
-            if self.filled == 0 {
-                return;
-            }
-            let n = self.filled;
-            compress_wide(&mut self.g_states[..n], &self.g_blocks[..n]);
-            for j in 0..n {
-                self.states[self.g_idx[j]] = self.g_states[j];
-            }
-            self.filled = 0;
-        }
-    }
-
-    /// Generates one group of keystream lanes through the wide compressor
-    /// and XORs each into its record's body at `offset` (the header length
-    /// when encrypting in place, zero for a detached ciphertext copy).
-    fn apply_keystream_group(
-        ks: &KeystreamKey,
-        blocks: &[[u8; 64]],
-        slots: &[(usize, usize)],
-        bodies: &mut [BytesMut],
-        offset: usize,
-    ) {
-        let mut states = [ks.mid; 8];
-        compress_wide(&mut states[..blocks.len()], blocks);
-        for (st, &(i, lane)) in states.iter().zip(slots) {
-            xor_lane(&mut bodies[i][offset..], lane, &st.to_bytes());
-        }
-    }
-
-    /// Phases B–C of a batch: drives every record's MAC chain one block per
-    /// wide pass, finalizes each with Merkle–Damgård padding, and computes
-    /// all outer tags through [`HmacKey::outer_tags_into`]. `msg_of(i)`
-    /// returns the MAC input (header + ciphertext) of record `i`, or `None`
-    /// to skip a structurally invalid record.
-    ///
-    /// Unlike the single-record [`seal_record`], no greedy keystream/MAC
-    /// pairing is needed: the caller runs the whole keystream phase first,
-    /// so every ciphertext byte already exists and MAC chains from
-    /// *different* records fill the wide lanes instead.
-    fn wide_mac_pass<'a, F>(mac: &HmacKey, n: usize, msg_of: F, scratch: &mut BatchScratch)
-    where
-        F: Fn(usize) -> Option<&'a [u8]>,
-    {
-        let BatchScratch {
-            states,
-            digests,
-            tags,
-            ..
-        } = scratch;
-        states.clear();
-        states.resize(n, mac.inner_midstate());
-        let max_blocks = (0..n)
-            .filter_map(|i| msg_of(i).map(|m| m.len() / 64))
-            .max()
-            .unwrap_or(0);
-        let mut chain = WideChain::new(&mut states[..], mac.inner_midstate());
-        for k in 0..max_blocks {
-            for i in 0..n {
-                let Some(msg) = msg_of(i) else { continue };
-                if msg.len() / 64 > k {
-                    let mb: &[u8; 64] = msg[64 * k..64 * k + 64].try_into().expect("full block");
-                    chain.push(i, mb);
-                }
-            }
-            chain.flush();
-        }
-        // Padding pass: one block per record, then the spill block for
-        // tails of 56+ bytes — the same two shapes `finalize_inner` emits.
-        for i in 0..n {
-            let Some(msg) = msg_of(i) else { continue };
-            let tail = &msg[(msg.len() / 64) * 64..];
-            let bit_len = (((64 + msg.len()) as u64).wrapping_mul(8)).to_be_bytes();
-            let mut block = [0u8; 64];
-            block[..tail.len()].copy_from_slice(tail);
-            block[tail.len()] = 0x80;
-            if tail.len() < 56 {
-                block[56..].copy_from_slice(&bit_len);
-            }
-            chain.push(i, &block);
-        }
-        chain.flush();
-        for i in 0..n {
-            let Some(msg) = msg_of(i) else { continue };
-            if msg.len() % 64 >= 56 {
-                let mut last = [0u8; 64];
-                last[56..]
-                    .copy_from_slice(&(((64 + msg.len()) as u64).wrapping_mul(8)).to_be_bytes());
-                chain.push(i, &last);
-            }
-        }
-        chain.flush();
-        digests.clear();
-        digests.extend(states.iter().map(|s| s.to_bytes()));
-        tags.clear();
-        tags.resize(n, [0u8; 32]);
-        mac.outer_tags_into(digests, tags);
-    }
-
-    /// Seals a whole batch in place: encrypts every `outs[i][HEADER_LEN..]`
-    /// with the v2 keystream and leaves each record's untruncated tag in
-    /// `scratch.tags`. Record `i` uses sequence number `first_seq + i`.
-    ///
-    /// Dispatches on [`sha256::multibuffer_profitable`]: where the wide
-    /// compressors win, one keystream pipeline serves the whole flush and
-    /// one wide HMAC pass walks every chain in lockstep; on hosts whose
-    /// SHA unit is throughput-bound the gather/scatter restructuring is a
-    /// measured net loss, so each record runs through the fused
-    /// [`seal_record`] kernel instead. Both paths are bit-identical.
-    pub(super) fn seal_batch(
-        mac: &HmacKey,
-        ks: &KeystreamKey,
-        first_seq: u64,
-        outs: &mut [BytesMut],
-        scratch: &mut BatchScratch,
-    ) {
-        if sha256::multibuffer_profitable() {
-            seal_batch_wide(mac, ks, first_seq, outs, scratch);
-        } else {
-            seal_batch_serial(mac, ks, first_seq, outs, scratch);
-        }
-    }
-
-    /// Per-record engine behind [`seal_batch`]: the fused [`seal_record`]
-    /// kernel in a loop, tags into `scratch.tags`.
-    pub(super) fn seal_batch_serial(
-        mac: &HmacKey,
-        ks: &KeystreamKey,
-        first_seq: u64,
-        outs: &mut [BytesMut],
-        scratch: &mut BatchScratch,
-    ) {
-        scratch.tags.clear();
-        scratch.tags.resize(outs.len(), [0u8; 32]);
-        for (i, out) in outs.iter_mut().enumerate() {
-            scratch.tags[i] = seal_record(mac, ks, first_seq + i as u64, &mut out[..]);
-        }
-    }
-
-    /// Wide-lane engine behind [`seal_batch`] (phases A then B–C).
-    pub(super) fn seal_batch_wide(
-        mac: &HmacKey,
-        ks: &KeystreamKey,
-        first_seq: u64,
-        outs: &mut [BytesMut],
-        scratch: &mut BatchScratch,
-    ) {
-        // Phase A: every keystream lane of the batch, eight per wide pass.
-        let mut g_blocks = [[0u8; 64]; 8];
-        let mut g_slots = [(0usize, 0usize); 8];
-        let mut filled = 0usize;
-        for i in 0..outs.len() {
-            let body_len = outs[i].len() - HEADER_LEN;
-            let seq = first_seq + i as u64;
-            for lane in 0..total_lanes(body_len) {
-                g_blocks[filled] = lane_block(seq, lane);
-                g_slots[filled] = (i, lane);
-                filled += 1;
-                if filled == 8 {
-                    apply_keystream_group(ks, &g_blocks[..], &g_slots[..], outs, HEADER_LEN);
-                    filled = 0;
-                }
-            }
-        }
-        if filled > 0 {
-            apply_keystream_group(
-                ks,
-                &g_blocks[..filled],
-                &g_slots[..filled],
-                outs,
-                HEADER_LEN,
-            );
-        }
-        // Phases B–C: MAC chains over header + ciphertext.
-        let outs: &[BytesMut] = outs;
-        wide_mac_pass(mac, outs.len(), |i| Some(&outs[i][..]), scratch);
-    }
-
-    /// Opens a whole batch: XORs the keystream over every `bodies[i]` (a
-    /// copy of record `i`'s ciphertext) and leaves each record's expected
-    /// untruncated tag in `scratch.tags`. Records flagged invalid in
-    /// `scratch.valid` are skipped by every phase (their body and tag are
-    /// left untouched).
-    ///
-    /// Dispatches on [`sha256::multibuffer_profitable`] like [`seal_batch`];
-    /// the wide path packs keystream and MAC lanes unconditionally (the MAC
-    /// covers the *received* ciphertext, so the phases are independent),
-    /// the serial path runs the fused [`open_record`] kernel per record.
-    /// Both are bit-identical.
-    pub(super) fn open_batch(
-        mac: &HmacKey,
-        ks: &KeystreamKey,
-        records: &[Bytes],
-        bodies: &mut [BytesMut],
-        scratch: &mut BatchScratch,
-    ) {
-        if sha256::multibuffer_profitable() {
-            open_batch_wide(mac, ks, records, bodies, scratch);
-        } else {
-            open_batch_serial(mac, ks, records, bodies, scratch);
-        }
-    }
-
-    /// Per-record engine behind [`open_batch`]: the fused [`open_record`]
-    /// kernel over every structurally valid record. Invalid records keep
-    /// their body untouched; their tag slot is unspecified (the caller
-    /// rejects them before ever reading it, in both engines).
-    pub(super) fn open_batch_serial(
-        mac: &HmacKey,
-        ks: &KeystreamKey,
-        records: &[Bytes],
-        bodies: &mut [BytesMut],
-        scratch: &mut BatchScratch,
-    ) {
-        scratch.tags.clear();
-        scratch.tags.resize(records.len(), [0u8; 32]);
-        for (i, rec) in records.iter().enumerate() {
-            if !scratch.valid[i] {
-                continue;
-            }
-            let seq = u64::from_be_bytes(rec[3..11].try_into().expect("validated header"));
-            scratch.tags[i] = open_record(
-                mac,
-                ks,
-                seq,
-                &rec[..rec.len() - TAG_LEN],
-                &mut bodies[i][..],
-            );
-        }
-    }
-
-    /// Wide-lane engine behind [`open_batch`] (phases A then B–C).
-    pub(super) fn open_batch_wide(
-        mac: &HmacKey,
-        ks: &KeystreamKey,
-        records: &[Bytes],
-        bodies: &mut [BytesMut],
-        scratch: &mut BatchScratch,
-    ) {
-        // Phase A: keystream lanes for every valid record, eight wide.
-        let mut g_blocks = [[0u8; 64]; 8];
-        let mut g_slots = [(0usize, 0usize); 8];
-        let mut filled = 0usize;
-        for (i, rec) in records.iter().enumerate() {
-            if !scratch.valid[i] {
-                continue;
-            }
-            let seq = u64::from_be_bytes(rec[3..11].try_into().expect("validated header"));
-            for lane in 0..total_lanes(bodies[i].len()) {
-                g_blocks[filled] = lane_block(seq, lane);
-                g_slots[filled] = (i, lane);
-                filled += 1;
-                if filled == 8 {
-                    apply_keystream_group(ks, &g_blocks[..], &g_slots[..], bodies, 0);
-                    filled = 0;
-                }
-            }
-        }
-        if filled > 0 {
-            apply_keystream_group(ks, &g_blocks[..filled], &g_slots[..filled], bodies, 0);
-        }
-        // Phases B–C: MAC chains over the received header + ciphertext.
-        let valid = std::mem::take(&mut scratch.valid);
-        wide_mac_pass(
-            mac,
-            records.len(),
-            |i| {
-                let rec = &records[i];
-                valid[i].then(|| &rec[..rec.len() - TAG_LEN])
-            },
-            scratch,
-        );
-        scratch.valid = valid;
-    }
 }
 
 #[derive(Debug)]
@@ -848,7 +525,6 @@ impl DtlsEndpoint {
                 peer_fingerprint: None,
                 last_flight: None,
                 scratch: BytesMut::new(),
-                batch: fused::BatchScratch::default(),
             },
             hello,
         )
@@ -869,7 +545,6 @@ impl DtlsEndpoint {
             peer_fingerprint: None,
             last_flight: None,
             scratch: BytesMut::new(),
-            batch: fused::BatchScratch::default(),
         }
     }
 
@@ -1133,149 +808,6 @@ impl DtlsEndpoint {
             self.state = State::Established;
         }
         Ok(())
-    }
-
-    /// Seals all `plaintexts` as one batch of records into `outs`, which is
-    /// grown (never shrunk) to at least `plaintexts.len()` reusable buffers;
-    /// `outs[i]` receives record `i`. With warm buffers the path performs
-    /// zero heap allocations.
-    ///
-    /// One keystream pipeline plus one wide HMAC pass serve the whole
-    /// flush ([`fused`]'s batch engine over the 4/8-wide SHA compressor),
-    /// replacing N independent [`Self::seal_into`] calls; the records
-    /// produced are byte-identical to that sequential loop.
-    ///
-    /// # Errors
-    ///
-    /// All-or-nothing, checked before any sequence number is consumed:
-    /// [`DtlsError::NotEstablished`] before the handshake completes,
-    /// [`DtlsError::Oversize`] if *any* plaintext exceeds
-    /// [`MAX_RECORD_PLAINTEXT`].
-    pub fn seal_batch_into(
-        &mut self,
-        plaintexts: &[&[u8]],
-        outs: &mut Vec<BytesMut>,
-    ) -> Result<(), DtlsError> {
-        if !self.is_established() {
-            return Err(DtlsError::NotEstablished);
-        }
-        if plaintexts.iter().any(|p| p.len() > MAX_RECORD_PLAINTEXT) {
-            return Err(DtlsError::Oversize);
-        }
-        let n = plaintexts.len();
-        if outs.len() < n {
-            outs.resize_with(n, BytesMut::new);
-        }
-        let mut scratch = std::mem::take(&mut self.batch);
-        let keys = self.keys.as_ref().expect("established implies keys");
-        let ks = match self.role {
-            Role::Client => &keys.client_ks,
-            Role::Server => &keys.server_ks,
-        };
-        let first_seq = self.send_seq;
-        self.send_seq += n as u64;
-        for (i, (pt, out)) in plaintexts.iter().zip(outs.iter_mut()).enumerate() {
-            out.clear();
-            out.reserve(HEADER_LEN + pt.len() + TAG_LEN);
-            out.put_u8(CT_APPDATA);
-            out.put_slice(&VERSION);
-            out.put_u64(first_seq + i as u64);
-            out.put_u16((pt.len() + TAG_LEN) as u16);
-            out.put_slice(pt);
-        }
-        fused::seal_batch(&keys.mac, ks, first_seq, &mut outs[..n], &mut scratch);
-        for (out, tag) in outs.iter_mut().zip(&scratch.tags) {
-            out.put_slice(&tag[..TAG_LEN]);
-        }
-        self.batch = scratch;
-        Ok(())
-    }
-
-    /// Opens all `records` as one batch: `outs[i]` receives record `i`'s
-    /// plaintext (cleared on failure) and `results[i]` its verdict. `outs`
-    /// is grown (never shrunk) to at least `records.len()` buffers; with
-    /// warm buffers the path performs zero heap allocations.
-    ///
-    /// The verdicts are record-for-record identical to feeding the batch
-    /// through [`Self::open_into`] sequentially — including MAC-reject
-    /// before replay-reject per record, replay-window evolution in batch
-    /// order, and implicit handshake completion on the first record that
-    /// authenticates. Only the crypto schedule differs: expected tags for
-    /// the whole batch are computed in one keystream pipeline plus one wide
-    /// HMAC pass before any verdict is applied (MAC verification does not
-    /// depend on replay state, so hoisting it preserves the semantics).
-    pub fn open_batch_into(
-        &mut self,
-        records: &[Bytes],
-        outs: &mut Vec<BytesMut>,
-        results: &mut Vec<Result<(), DtlsError>>,
-    ) {
-        let n = records.len();
-        results.clear();
-        if outs.len() < n {
-            outs.resize_with(n, BytesMut::new);
-        }
-        let awaiting_finished =
-            matches!(self.state, State::AwaitClientFinished { .. }) && self.keys.is_some();
-        if !self.is_established() && !awaiting_finished {
-            for out in outs.iter_mut().take(n) {
-                out.clear();
-            }
-            results.extend((0..n).map(|_| Err(DtlsError::NotEstablished)));
-            return;
-        }
-        let mut scratch = std::mem::take(&mut self.batch);
-        scratch.valid.clear();
-        for (rec, out) in records.iter().zip(outs.iter_mut()) {
-            let ok =
-                rec.len() >= HEADER_LEN + TAG_LEN && rec[0] == CT_APPDATA && rec[1..3] == VERSION;
-            scratch.valid.push(ok);
-            out.clear();
-            if ok {
-                // Speculative ciphertext copy, decrypted in place by the
-                // engine and discarded below if the tag or replay window
-                // rejects the record (same policy as `open_into`).
-                let body_end = rec.len() - TAG_LEN;
-                out.reserve(body_end - HEADER_LEN);
-                out.put_slice(&rec[HEADER_LEN..body_end]);
-            }
-        }
-        {
-            let keys = self
-                .keys
-                .as_ref()
-                .expect("established or awaiting implies keys");
-            let ks = match self.role {
-                Role::Client => &keys.server_ks,
-                Role::Server => &keys.client_ks,
-            };
-            fused::open_batch(&keys.mac, ks, records, &mut outs[..n], &mut scratch);
-        }
-        let mut any_authenticated = false;
-        for (i, rec) in records.iter().enumerate() {
-            if !scratch.valid[i] {
-                results.push(Err(DtlsError::BadRecord));
-                continue;
-            }
-            let tag = &rec[rec.len() - TAG_LEN..];
-            if !pdn_crypto::ct_eq(&scratch.tags[i][..TAG_LEN], tag) {
-                outs[i].clear();
-                results.push(Err(DtlsError::BadRecord));
-                continue;
-            }
-            let seq = u64::from_be_bytes(rec[3..11].try_into().expect("length checked"));
-            if !self.replay.check_and_update(seq) {
-                outs[i].clear();
-                results.push(Err(DtlsError::Replay));
-                continue;
-            }
-            any_authenticated = true;
-            results.push(Ok(()));
-        }
-        if awaiting_finished && any_authenticated {
-            self.state = State::Established;
-        }
-        self.batch = scratch;
     }
 
     /// Pre-fast-path `seal`, preserved for in-process benchmarking: per-call
@@ -1544,183 +1076,75 @@ mod tests {
         }
     }
 
-    #[test]
-    fn batch_wide_and_serial_engines_agree() {
-        // `seal_batch`/`open_batch` dispatch on the hardware probe, so on
-        // any one host only one engine runs through the public API. Pin
-        // the two engines against each other directly so both stay
-        // correct no matter what the probe selects.
-        let (c, _s) = pair(true);
-        let keys = c.keys.as_ref().unwrap();
-        let (ks, mac) = (keys.client_ks.clone(), keys.mac);
-        let sizes = [0usize, 1, 31, 32, 51, 64, 115, 200, 1200, 4096];
-        let first_seq = 7u64;
-
-        let build = |sizes: &[usize]| -> Vec<BytesMut> {
-            sizes
-                .iter()
-                .enumerate()
-                .map(|(i, &n)| {
-                    let mut out = BytesMut::new();
-                    out.put_u8(CT_APPDATA);
-                    out.put_slice(&VERSION);
-                    out.put_u64(first_seq + i as u64);
-                    out.put_u16((n + TAG_LEN) as u16);
-                    for j in 0..n {
-                        out.put_u8((j * 13 % 251) as u8);
-                    }
-                    out
-                })
-                .collect()
-        };
-
-        let mut wide = build(&sizes);
-        let mut serial = build(&sizes);
-        let mut sc_w = fused::BatchScratch::default();
-        let mut sc_s = fused::BatchScratch::default();
-        fused::seal_batch_wide(&mac, &ks, first_seq, &mut wide, &mut sc_w);
-        fused::seal_batch_serial(&mac, &ks, first_seq, &mut serial, &mut sc_s);
-        assert_eq!(sc_w.tags, sc_s.tags, "seal tags");
-        for (i, (w, s)) in wide.iter().zip(&serial).enumerate() {
-            assert_eq!(&w[..], &s[..], "sealed record {i}");
-        }
-
-        // Open the sealed batch, with one record flagged structurally
-        // invalid: bodies and tags of valid slots must agree (invalid
-        // slots' tags are never read by the caller and may differ).
-        let records: Vec<Bytes> = wide
-            .iter()
-            .zip(&sc_w.tags)
-            .map(|(w, t)| {
-                let mut v = w.to_vec();
-                v.extend_from_slice(&t[..TAG_LEN]);
-                Bytes::from(v)
-            })
-            .collect();
-        let bodies = |recs: &[Bytes]| -> Vec<BytesMut> {
-            recs.iter()
-                .map(|r| {
-                    let mut b = BytesMut::new();
-                    b.extend_from_slice(&r[HEADER_LEN..r.len() - TAG_LEN]);
-                    b
-                })
-                .collect()
-        };
-        let mut b_w = bodies(&records);
-        let mut b_s = bodies(&records);
-        for sc in [&mut sc_w, &mut sc_s] {
-            sc.valid.clear();
-            sc.valid.extend((0..records.len()).map(|i| i != 3));
-        }
-        fused::open_batch_wide(&mac, &ks, &records, &mut b_w, &mut sc_w);
-        fused::open_batch_serial(&mac, &ks, &records, &mut b_s, &mut sc_s);
-        for i in 0..records.len() {
-            if i == 3 {
-                continue;
-            }
-            assert_eq!(sc_w.tags[i], sc_s.tags[i], "open tag {i}");
-            assert_eq!(&b_w[i][..], &b_s[i][..], "opened body {i}");
-        }
-        assert_eq!(&b_w[3][..], &b_s[3][..], "invalid body untouched");
-    }
-
-    #[test]
-    fn batch_seal_open_matches_sequential() {
-        // `pair` is seed-deterministic, so two pairs share identical keys
-        // and the batch path can be pinned byte-for-byte against the
-        // sequential one.
-        let (mut c_seq, mut s_seq) = pair(true);
-        let (mut c_batch, mut s_batch) = pair(true);
-        let payloads: Vec<Vec<u8>> = [0usize, 1, 63, 64, 65, 100, 4096, 16_384, 51, 13]
-            .iter()
-            .map(|&n| (0..n).map(|i| (i * 7 % 251) as u8).collect())
-            .collect();
-        let refs: Vec<&[u8]> = payloads.iter().map(|p| p.as_slice()).collect();
-
-        let mut sequential = Vec::new();
-        let mut rec = BytesMut::new();
-        for p in &payloads {
-            c_seq.seal_into(p, &mut rec).unwrap();
-            sequential.push(Bytes::copy_from_slice(&rec));
-        }
-        let mut outs = Vec::new();
-        c_batch.seal_batch_into(&refs, &mut outs).unwrap();
-        assert_eq!(c_batch.send_seq, c_seq.send_seq);
-        for (i, (batch, seq)) in outs.iter().zip(&sequential).enumerate() {
-            assert_eq!(&batch[..], &seq[..], "record {i}");
-        }
-
-        // Open side: batch verdicts and plaintexts match sequential opens.
-        let mut pts = Vec::new();
-        let mut results = Vec::new();
-        s_batch.open_batch_into(&sequential, &mut pts, &mut results);
-        let mut pt = BytesMut::new();
-        for (i, r) in sequential.iter().enumerate() {
-            let want = s_seq.open_into(r, &mut pt);
-            assert_eq!(results[i], want, "verdict {i}");
-            assert_eq!(&pts[i][..], &pt[..], "plaintext {i}");
-        }
-    }
-
-    #[test]
-    fn batch_open_completes_handshake_implicitly() {
-        // Lose the client Finished: the server is AwaitClientFinished, and
-        // a batch whose first record authenticates must establish it (same
-        // implicit-completion rule as `open_into`).
+    /// A pair whose client Finished was lost: the client is established,
+    /// the server still awaits the Finished but already holds the keys.
+    fn pair_missing_client_finished() -> (DtlsEndpoint, DtlsEndpoint) {
         let mut rng = SimRng::seed(33);
         let ccert = Certificate::generate(&mut rng);
         let scert = Certificate::generate(&mut rng);
         let (mut c, hello) = DtlsEndpoint::client(ccert, None, &mut rng);
         let mut s = DtlsEndpoint::server(scert, None, &mut rng);
         let sh = s.handle_handshake(&hello, &mut rng).unwrap().unwrap();
-        let _client_finished = c.handle_handshake(&sh, &mut rng).unwrap().unwrap();
+        let _lost_finished = c.handle_handshake(&sh, &mut rng).unwrap().unwrap();
+        assert!(c.is_established());
         assert!(!s.is_established());
+        (c, s)
+    }
 
-        let mut outs = Vec::new();
-        c.seal_batch_into(&[b"first".as_slice(), b"second"], &mut outs)
-            .unwrap();
-        let records: Vec<Bytes> = outs.iter().map(|o| Bytes::copy_from_slice(o)).collect();
-        let mut pts = Vec::new();
-        let mut results = Vec::new();
-        s.open_batch_into(&records, &mut pts, &mut results);
-        assert_eq!(results, vec![Ok(()), Ok(())]);
+    #[test]
+    fn open_completes_handshake_implicitly() {
+        // A record that authenticates proves the client holds the session
+        // keys, so it completes the handshake the lost Finished would have.
+        let (mut c, mut s) = pair_missing_client_finished();
+        let mut rec = BytesMut::new();
+        let mut pt = BytesMut::new();
+        c.seal_into(b"first", &mut rec).unwrap();
+        s.open_into(&rec, &mut pt).unwrap();
         assert!(s.is_established());
-        assert_eq!(&pts[0][..], b"first");
-        assert_eq!(&pts[1][..], b"second");
+        assert_eq!(&pt[..], b"first");
+        c.seal_into(b"second", &mut rec).unwrap();
+        s.open_into(&rec, &mut pt).unwrap();
+        assert_eq!(&pt[..], b"second");
     }
 
     #[test]
-    fn batch_seal_is_all_or_nothing() {
-        let (mut c, _s) = pair(true);
+    fn forged_record_does_not_complete_handshake() {
+        // A record failing its MAC proves nothing: the server stays
+        // unestablished, and a later genuine record still completes it.
+        let (mut c, mut s) = pair_missing_client_finished();
+        let mut rec = BytesMut::new();
+        let mut pt = BytesMut::new();
+        c.seal_into(b"data", &mut rec).unwrap();
+        let mut forged = rec.to_vec();
+        forged[HEADER_LEN] ^= 0x01;
+        assert_eq!(s.open_into(&forged, &mut pt), Err(DtlsError::BadRecord));
+        assert!(pt.is_empty(), "rejected plaintext is discarded");
+        assert!(!s.is_established());
+        assert_eq!(s.seal(b"x"), Err(DtlsError::NotEstablished));
+        s.open_into(&rec, &mut pt).unwrap();
+        assert!(s.is_established());
+    }
+
+    #[test]
+    fn failed_seal_consumes_no_sequence_number() {
+        // An oversize payload is rejected before a sequence number is
+        // taken, so the next record carries seq 0 and the peer opens it.
+        let (mut c, mut s) = pair(true);
+        let mut rec = BytesMut::new();
         let big = vec![0u8; MAX_RECORD_PLAINTEXT + 1];
-        let mut outs = Vec::new();
-        assert_eq!(
-            c.seal_batch_into(&[b"ok".as_slice(), &big], &mut outs),
-            Err(DtlsError::Oversize)
-        );
-        // No sequence number was consumed by the failed batch.
+        assert_eq!(c.seal_into(&big, &mut rec), Err(DtlsError::Oversize));
         assert_eq!(c.send_seq, 0);
+        c.seal_into(b"ok", &mut rec).unwrap();
+        assert_eq!(&rec[3..11], &0u64.to_be_bytes());
+        assert_eq!(&s.open(&rec).unwrap()[..], b"ok");
     }
 
     #[test]
-    fn batch_open_before_establishment_fails_every_record() {
+    fn open_before_establishment_fails() {
         let mut rng = SimRng::seed(5);
         let cert = Certificate::generate(&mut rng);
         let (mut c, _hello) = DtlsEndpoint::client(cert, None, &mut rng);
-        let mut pts = Vec::new();
-        let mut results = Vec::new();
-        c.open_batch_into(
-            &[Bytes::from_static(b"junk"), Bytes::from_static(b"junk2")],
-            &mut pts,
-            &mut results,
-        );
-        assert_eq!(
-            results,
-            vec![
-                Err(DtlsError::NotEstablished),
-                Err(DtlsError::NotEstablished)
-            ]
-        );
+        assert_eq!(c.open(b"junk"), Err(DtlsError::NotEstablished));
     }
 
     #[test]
@@ -1955,78 +1379,89 @@ mod prop_tests {
         }
 
         #[test]
-        fn batch_seal_matches_sequential_for_any_payloads(
-            payloads in proptest::collection::vec(
-                proptest::collection::vec(any::<u8>(), 0..2048),
-                0..10,
-            ),
+        fn fused_seal_matches_unfused_reference_for_any_payload(
+            payload in proptest::collection::vec(any::<u8>(), 0..4096),
+            skip in 0usize..4,
         ) {
-            // `pair` is seed-deterministic: two pairs share identical keys.
-            let (mut c_seq, _) = pair();
-            let (mut c_batch, _) = pair();
-            let refs: Vec<&[u8]> = payloads.iter().map(|p| p.as_slice()).collect();
-            let mut outs = Vec::new();
-            c_batch.seal_batch_into(&refs, &mut outs).unwrap();
+            // Generalises `fused_record_matches_unfused_reference` to
+            // arbitrary lengths, contents and sequence numbers.
+            let (mut c, _s) = pair();
             let mut rec = BytesMut::new();
-            for (i, p) in payloads.iter().enumerate() {
-                c_seq.seal_into(p, &mut rec).unwrap();
-                prop_assert_eq!(&outs[i][..], &rec[..], "record {}", i);
+            for _ in 0..skip {
+                c.seal_into(b"warm-up", &mut rec).unwrap();
             }
+            let keys = c.keys.as_ref().unwrap();
+            let (ks, mac) = (keys.client_ks.clone(), keys.mac);
+            let seq = c.send_seq;
+            c.seal_into(&payload, &mut rec).unwrap();
+
+            let mut want = BytesMut::new();
+            want.put_u8(CT_APPDATA);
+            want.put_slice(&VERSION);
+            want.put_u64(seq);
+            want.put_u16((payload.len() + TAG_LEN) as u16);
+            want.put_slice(&payload);
+            ks.apply(seq, &mut want[HEADER_LEN..]);
+            let tag = hmac_sha256_keyed(&mac, &[&want[..]]);
+            want.put_slice(&tag[..TAG_LEN]);
+            prop_assert_eq!(&rec[..], &want[..]);
         }
 
         #[test]
-        fn batch_open_fails_record_for_record_like_sequential(
+        fn open_verdicts_are_record_for_record(
             payloads in proptest::collection::vec(
                 proptest::collection::vec(any::<u8>(), 0..1024),
                 1..10,
             ),
             muts in proptest::collection::vec((0u8..4, any::<u32>()), 10),
         ) {
-            // Seal a batch, then damage it: per record either keep,
-            // truncate mid-batch, flip one bit, or replace with a copy of
-            // the previous wire record (an intra-batch replay). The batch
-            // open must return exactly the verdicts and plaintexts of
-            // opening the damaged records one by one.
-            let (mut c, mut s_seq) = pair();
-            let (_, mut s_batch) = pair();
-            let refs: Vec<&[u8]> = payloads.iter().map(|p| p.as_slice()).collect();
-            let mut outs = Vec::new();
-            c.seal_batch_into(&refs, &mut outs).unwrap();
-
-            let mut wire: Vec<Bytes> = Vec::new();
-            for (i, out) in outs.iter().take(payloads.len()).enumerate() {
-                let rec = Bytes::copy_from_slice(out);
-                let (m, p) = muts[i];
-                let p = p as usize;
-                match m {
+            // Damage a record stream: per record either keep, truncate,
+            // flip one bit, or replace with a copy of the previous wire
+            // record. A damaged record fails on its own and never poisons
+            // the records after it; a copy of an accepted record is a
+            // replay.
+            let (mut c, mut s) = pair();
+            let mut rec = BytesMut::new();
+            let mut pt = BytesMut::new();
+            let mut wire: Vec<(Vec<u8>, bool)> = Vec::new();
+            for (i, p) in payloads.iter().enumerate() {
+                c.seal_into(p, &mut rec).unwrap();
+                let (m, x) = (muts[i].0, muts[i].1 as usize);
+                let mut bytes = rec.to_vec();
+                let intact = match m {
                     1 => {
-                        let cut = (p % rec.len()).max(1);
-                        wire.push(rec.slice(..rec.len() - cut));
+                        bytes.truncate(bytes.len() - (x % bytes.len()).max(1));
+                        false
                     }
                     2 => {
-                        let mut v = rec.to_vec();
-                        let bit = p % (v.len() * 8);
-                        v[bit / 8] ^= 1 << (bit % 8);
-                        wire.push(Bytes::from(v));
+                        let bit = x % (bytes.len() * 8);
+                        bytes[bit / 8] ^= 1 << (bit % 8);
+                        false
                     }
-                    3 if i > 0 => wire.push(wire[i - 1].clone()),
-                    _ => wire.push(rec),
+                    3 if i > 0 => {
+                        bytes = wire[i - 1].0.clone();
+                        false
+                    }
+                    _ => true,
+                };
+                wire.push((bytes, intact));
+            }
+            let mut last_accepted = None;
+            for (i, (bytes, intact)) in wire.iter().enumerate() {
+                let verdict = s.open_into(bytes, &mut pt);
+                if *intact {
+                    prop_assert_eq!(verdict, Ok(()), "record {}", i);
+                    prop_assert_eq!(&pt[..], payloads[i].as_slice(), "plaintext {}", i);
+                    last_accepted = Some(i);
+                } else if i > 0 && muts[i].0 == 3 && last_accepted == Some(i - 1) {
+                    prop_assert_eq!(verdict, Err(DtlsError::Replay), "record {}", i);
+                } else {
+                    prop_assert!(verdict.is_err(), "damaged record {} accepted", i);
                 }
             }
-
-            let mut pts = Vec::new();
-            let mut results = Vec::new();
-            s_batch.open_batch_into(&wire, &mut pts, &mut results);
-            let mut pt = BytesMut::new();
-            for (i, rec) in wire.iter().enumerate() {
-                // Structural failures return before `open_into` touches its
-                // output buffer; clear between records so "untouched" and the
-                // batch path's "cleared" compare equal.
-                pt.clear();
-                let want = s_seq.open_into(rec, &mut pt);
-                prop_assert_eq!(&results[i], &want, "verdict {}", i);
-                prop_assert_eq!(&pts[i][..], &pt[..], "plaintext {}", i);
-            }
+            c.seal_into(b"after", &mut rec).unwrap();
+            s.open_into(&rec, &mut pt).unwrap();
+            prop_assert_eq!(&pt[..], b"after");
         }
     }
 }

@@ -34,6 +34,11 @@ run_gate "determinism gate (worker counts 1/2/4/8)" \
 run_gate "shard determinism gate (shard counts 1/2/4/8, inline + threaded)" \
   cargo test --offline -p pdn-bench --test shard_determinism --quiet
 
+# perfbench is a package of its own that builds the crates by path, so the
+# workspace build above cannot see an API it still uses going away.
+run_gate "perfbench tests (the benchmark package still builds against the crates)" \
+  cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 run_gate "crypto differential tests (HMAC vs baseline)" \
   cargo test --offline -p pdn-crypto --quiet diff_tests
 run_gate "crypto gate (fast-path speedup/alloc asserts)" \
@@ -56,9 +61,9 @@ run_gate "cargo bench --no-run (benches stay compiling)" \
 
 echo "==> hot-path hash lint (no std::collections::HashMap on swarm-state hot paths)"
 # The swarm-state engine (PR 5) moved the signaling server, SDK scheduler,
-# and simnet router onto FxHash/slab/bitmap structures, the batched
-# record engine (PR 6) extends the same stance to the DTLS record layer
-# and data channel, and the service plane (PR 9) to the bounded inboxes
+# and simnet router onto FxHash/slab/bitmap structures; the DTLS record
+# layer and data channel keep the same stance (the channel's reassembly
+# state lives in ordered maps), as do the service plane's bounded inboxes
 # and open-loop harness; the federated tracker plane (PR 10) keeps the
 # same stance in the region-shard router. SipHash maps must not creep
 # back into those files; the preserved baseline (state_baseline.rs) and
