@@ -1,16 +1,16 @@
 //! Emits `BENCH_wire.json`: wall-clock numbers for the binary wire codec —
-//! signaling encode+decode against the preserved JSON baseline and P2P
-//! encode+decode against the legacy fixed-width framing, measured in the
-//! same process, plus the end-to-end effect of the codec swap on the
-//! table5 world workload at several worker counts.
+//! signaling encode+decode against the JSON baseline and P2P encode+decode
+//! against the legacy fixed-width framing (both in
+//! [`pdn_bench::json_baseline`]), measured in the same process — plus a
+//! check that the table5 world workload renders byte-identical tables at
+//! worker counts 1/2/4/8.
 //!
 //! ```text
 //! cargo run --release -p pdn-bench --bin wire_bench [-- --quick]
 //! ```
 //!
-//! `--quick` shrinks iteration counts and skips the end-to-end table5
-//! section for CI smoke runs; the speedup and zero-allocation gates still
-//! apply.
+//! `--quick` shrinks iteration counts and skips the table5 section for CI
+//! smoke runs; the speedup and zero-allocation gates still apply.
 //!
 //! Like `crypto_bench`, the binary installs a counting global allocator so
 //! the "zero heap allocations per message in steady state" claim is
@@ -21,10 +21,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use bytes::{Bytes, BytesMut};
+use pdn_bench::json_baseline;
 use pdn_bench::{table5_pooled, SEED};
 use pdn_core::WorldPool;
 use pdn_media::VideoId;
-use pdn_provider::wire::{self, InternTable, P2pRef, P2pView, WireMode};
+use pdn_provider::wire::{self, InternTable, P2pRef, P2pView};
 use pdn_provider::{P2pMsg, SignalMsg};
 use pdn_simnet::Addr;
 use pdn_webrtc::{Candidate, CandidateKind, Fingerprint, SessionDescription};
@@ -191,24 +192,17 @@ fn run_signal_binary(corpus: &[SignalMsg], iters: usize) -> f64 {
     t.elapsed().as_secs_f64()
 }
 
-/// The same roundtrip through the preserved JSON baseline codec.
+/// The same roundtrip through the JSON baseline codec.
 fn run_signal_json(corpus: &[SignalMsg], iters: usize) -> f64 {
-    let frames: Vec<Bytes> = corpus
-        .iter()
-        .map(wire::json_baseline::encode_signal)
-        .collect();
+    let frames: Vec<Bytes> = corpus.iter().map(json_baseline::encode_signal).collect();
     for frame in &frames {
-        assert!(wire::json_baseline::decode_signal(frame).is_some());
+        assert!(json_baseline::decode_signal(frame).is_some());
     }
     let t = Instant::now();
     for _ in 0..iters {
         for (msg, frame) in corpus.iter().zip(&frames) {
-            std::hint::black_box(wire::json_baseline::encode_signal(std::hint::black_box(
-                msg,
-            )));
-            std::hint::black_box(wire::json_baseline::decode_signal(std::hint::black_box(
-                frame,
-            )));
+            std::hint::black_box(json_baseline::encode_signal(std::hint::black_box(msg)));
+            std::hint::black_box(json_baseline::decode_signal(std::hint::black_box(frame)));
         }
     }
     t.elapsed().as_secs_f64()
@@ -246,15 +240,15 @@ fn time_p2p_binary(corpus: &[P2pMsg], table: &InternTable, iters: usize) -> f64 
 /// The legacy owned path: fixed-width encode allocating a frame per
 /// message, decode materializing an owned [`P2pMsg`].
 fn run_p2p_legacy(corpus: &[P2pMsg], iters: usize) -> f64 {
-    let frames: Vec<Bytes> = corpus.iter().map(wire::json_baseline::encode_p2p).collect();
+    let frames: Vec<Bytes> = corpus.iter().map(json_baseline::encode_p2p).collect();
     for frame in &frames {
-        assert!(wire::json_baseline::decode_p2p(frame).is_some());
+        assert!(json_baseline::decode_p2p(frame).is_some());
     }
     let t = Instant::now();
     for _ in 0..iters {
         for (msg, frame) in corpus.iter().zip(&frames) {
-            std::hint::black_box(wire::json_baseline::encode_p2p(std::hint::black_box(msg)));
-            std::hint::black_box(wire::json_baseline::decode_p2p(std::hint::black_box(frame)));
+            std::hint::black_box(json_baseline::encode_p2p(std::hint::black_box(msg)));
+            std::hint::black_box(json_baseline::decode_p2p(std::hint::black_box(frame)));
         }
     }
     t.elapsed().as_secs_f64()
@@ -327,43 +321,19 @@ fn main() {
 
     let alloc_rate = allocs_per_msg(&signals, &p2p, &table, (2_000 / scale).max(50));
 
-    // --- End-to-end: table5 under both codecs at several worker counts.
-    // Skipped in --quick (sim_bench --quick owns the workload regression
-    // gate there); the codec swap must not change a single table byte.
+    // --- table5 at several worker counts. Skipped in --quick
+    // (sim_bench --quick owns the workload regression gate there).
     let mut e2e = String::new();
     if !quick {
-        let run_tables = |mode: WireMode| -> (Vec<String>, f64) {
-            wire::set_wire_mode(mode);
-            let tables: Vec<String> = [1usize, 2, 4, 8]
-                .iter()
-                .map(|&w| table5_pooled(SEED, &WorldPool::new(w)).render())
-                .collect();
-            let t = Instant::now();
-            std::hint::black_box(table5_pooled(SEED, &WorldPool::serial()).render());
-            let ms = t.elapsed().as_secs_f64() * 1e3;
-            (tables, ms)
-        };
-        let (bin_tables, bin_ms) = run_tables(WireMode::Binary);
-        let (json_tables, json_ms) = run_tables(WireMode::JsonBaseline);
-        wire::set_wire_mode(WireMode::Binary);
-        let workers_ok = bin_tables.iter().all(|t| *t == bin_tables[0])
-            && json_tables.iter().all(|t| *t == json_tables[0]);
-        let codecs_ok = bin_tables[0] == json_tables[0];
-        e2e = format!(
-            ",\n  \"tables_identical_across_workers\": {workers_ok},\n  \
-             \"tables_identical_across_codecs\": {codecs_ok},\n  \
-             \"table5_serial_ms_binary\": {bin_ms:.2},\n  \
-             \"table5_serial_ms_json\": {json_ms:.2},\n  \
-             \"end_to_end_speedup\": {:.2}",
-            json_ms / bin_ms
-        );
+        let tables: Vec<String> = [1usize, 2, 4, 8]
+            .iter()
+            .map(|&w| table5_pooled(SEED, &WorldPool::new(w)).render())
+            .collect();
+        let workers_ok = tables.iter().all(|t| *t == tables[0]);
+        e2e = format!(",\n  \"tables_identical_across_workers\": {workers_ok}");
         assert!(
             workers_ok,
             "table5 must be byte-identical at workers 1/2/4/8"
-        );
-        assert!(
-            codecs_ok,
-            "the codec swap must not change a single table byte"
         );
     }
 

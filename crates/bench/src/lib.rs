@@ -15,11 +15,15 @@
 //! | §IV-D wild harvest | [`ip_leak_wild`] |
 //! | §V-A token | [`token_defense`] |
 //! | §V-C mitigations | [`privacy_mitigation`] |
+//!
+//! [`json_baseline`] holds the pre-binary wire codecs that `wire_bench` and
+//! the wire differential tests compare `pdn_provider::wire` against.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ablations;
+pub mod json_baseline;
 
 use pdn_core::ip_leak::{huya_population, rt_news_population, run_wild_trials, WildTrial};
 use pdn_core::riskmatrix::{build_matrix_pooled, ProviderKeyCounts, RiskMatrix};

@@ -88,9 +88,57 @@ pub fn hex(bytes: &[u8]) -> String {
     s
 }
 
+/// Parses exactly 64 hex digits (either case) into 32 bytes — the inverse
+/// of [`hex`] for digests and MACs. Works byte-wise, so any non-hex byte
+/// (a sign, a space, part of a multi-byte character) yields `None` rather
+/// than a panic or a lenient parse.
+///
+/// # Examples
+///
+/// ```
+/// let tag = [0xab; 32];
+/// assert_eq!(pdn_crypto::parse_hex32(&pdn_crypto::hex(&tag)), Some(tag));
+/// assert_eq!(pdn_crypto::parse_hex32("ab"), None);
+/// ```
+pub fn parse_hex32(s: &str) -> Option<[u8; 32]> {
+    fn nibble(c: u8) -> Option<u8> {
+        match c {
+            b'0'..=b'9' => Some(c - b'0'),
+            b'a'..=b'f' => Some(c - b'a' + 10),
+            b'A'..=b'F' => Some(c - b'A' + 10),
+            _ => None,
+        }
+    }
+    let bytes = s.as_bytes();
+    if bytes.len() != 64 {
+        return None;
+    }
+    let mut out = [0u8; 32];
+    for (o, pair) in out.iter_mut().zip(bytes.chunks_exact(2)) {
+        *o = nibble(pair[0])? << 4 | nibble(pair[1])?;
+    }
+    Some(out)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn parse_hex32_rejects_non_hex_bytes() {
+        let good = "0123456789abcdefABCDEF".repeat(3)[..64].to_string();
+        assert!(parse_hex32(&good).is_some());
+        assert_eq!(parse_hex32(&"00".repeat(31)), None, "short");
+        assert_eq!(parse_hex32(&"00".repeat(33)), None, "long");
+        // 64 bytes whose second character is two bytes wide: slicing by
+        // byte pairs would split it.
+        let split_char = format!("a\u{e9}{}", "a".repeat(61));
+        assert_eq!(split_char.len(), 64);
+        assert_eq!(parse_hex32(&split_char), None);
+        // `u8::from_str_radix` would accept a leading sign.
+        assert_eq!(parse_hex32(&format!("+f{}", "0".repeat(62))), None);
+        assert_eq!(parse_hex32(&format!("g0{}", "0".repeat(62))), None);
+    }
 
     #[test]
     fn ct_eq_length_mismatch() {
@@ -148,6 +196,12 @@ mod prop_tests {
             let token = crate::jwt::sign(&c, b"key").unwrap();
             let back: C = crate::jwt::verify(&token, b"key").unwrap();
             prop_assert_eq!(back, c);
+        }
+
+        #[test]
+        fn parse_hex32_inverts_hex(bytes in any::<[u8; 32]>()) {
+            prop_assert_eq!(crate::parse_hex32(&crate::hex(&bytes)), Some(bytes));
+            prop_assert_eq!(crate::parse_hex32(&crate::hex(&bytes).to_uppercase()), Some(bytes));
         }
 
         #[test]

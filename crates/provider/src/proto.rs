@@ -12,16 +12,15 @@
 //!    DTLS data-channel records — request/offer/deliver segments, plus the
 //!    signed-integrity-metadata extension of the §V-B defense.
 //!
-//! The signaling and P2P hot paths encode via the versioned binary codec
-//! in [`crate::wire`] (varint-framed, zero-copy decode); the pre-binary
-//! JSON / fixed-width formats survive as [`crate::wire::json_baseline`]
-//! and both decoders here accept either format transparently.
+//! Signaling and P2P messages travel in the versioned binary codec of
+//! [`crate::wire`] (varint-framed, zero-copy decode), the only format these
+//! entry points encode or accept.
 
 use bytes::{BufMut, Bytes, BytesMut};
 use pdn_media::VideoId;
 use pdn_webrtc::SessionDescription;
 
-use crate::wire::{self, InternTable, WireMode};
+use crate::wire::{self, InternTable};
 
 /// Marker prefix for TLS-protected signaling frames.
 pub const TLS_MARKER: &[u8; 4] = b"TLS|";
@@ -108,23 +107,15 @@ pub enum SignalMsg {
 }
 
 impl SignalMsg {
-    /// Encodes into a TLS-marked signaling frame using the codec selected
-    /// by [`crate::wire::set_wire_mode`] (binary by default).
+    /// Encodes into a TLS-marked binary signaling frame.
     pub fn encode(&self) -> Bytes {
-        match wire::wire_mode() {
-            WireMode::Binary => wire::encode_signal(self),
-            WireMode::JsonBaseline => wire::json_baseline::encode_signal(self),
-        }
+        wire::encode_signal(self)
     }
 
-    /// Decodes a TLS-marked signaling frame — binary or JSON baseline,
-    /// distinguished by the version byte after the marker.
+    /// Decodes a TLS-marked binary signaling frame; any other version byte
+    /// after the marker is rejected.
     pub fn decode(frame: &[u8]) -> Option<SignalMsg> {
-        if frame.get(4) == Some(&wire::SIGNAL_BIN_VERSION) {
-            wire::decode_signal(frame)
-        } else {
-            wire::json_baseline::decode_signal(frame)
-        }
+        wire::decode_signal(frame)
     }
 
     /// Whether `frame` is a signaling frame (without decoding it) — what a
@@ -403,19 +394,16 @@ pub enum P2pMsg {
 }
 
 impl P2pMsg {
-    /// Encodes to channel-message bytes using the codec selected by
-    /// [`crate::wire::set_wire_mode`]. The SDK hot path skips this owned
-    /// entry point entirely and encodes [`crate::wire::P2pRef`] views into
-    /// a reusable scratch with its per-channel intern table.
+    /// Encodes to binary channel-message bytes with every str-field
+    /// inline. The SDK hot path skips this owned entry point entirely and
+    /// encodes [`crate::wire::P2pRef`] views into a reusable scratch with
+    /// its per-channel intern table.
     pub fn encode(&self) -> Bytes {
-        match wire::wire_mode() {
-            WireMode::Binary => wire::encode_p2p(self, &InternTable::EMPTY),
-            WireMode::JsonBaseline => wire::json_baseline::encode_p2p(self),
-        }
+        wire::encode_p2p(self, &InternTable::EMPTY)
     }
 
-    /// Decodes channel-message bytes (binary or legacy format); the
-    /// segment payload is a zero-copy slice of `frame`.
+    /// Decodes binary channel-message bytes; the segment payload is a
+    /// zero-copy slice of `frame`.
     pub fn decode(frame: &Bytes) -> Option<P2pMsg> {
         wire::decode_p2p(frame, &InternTable::EMPTY)
     }
@@ -495,6 +483,33 @@ mod tests {
         assert!(SignalMsg::is_signaling(&frame));
         assert_eq!(SignalMsg::decode(&frame), Some(msg));
         assert!(SignalMsg::decode(b"not a frame").is_none());
+    }
+
+    #[test]
+    fn json_signal_frames_rejected_and_classified_as_greeters() {
+        use crate::service::MsgClass;
+        let msgs = [
+            SignalMsg::StatsReport {
+                p2p_up_bytes: 1,
+                p2p_down_bytes: 2,
+            },
+            SignalMsg::ImReport {
+                video: "v".into(),
+                rendition: 0,
+                seq: 3,
+                im: "ab".repeat(32),
+            },
+            SignalMsg::Leave,
+        ];
+        for msg in msgs {
+            let mut frame = TLS_MARKER.to_vec();
+            frame.extend(serde_json::to_vec(&msg).expect("serializes"));
+            // The decoder and the inbox classifier agree: a TLS|+JSON
+            // frame is not signaling the tracker acts on.
+            assert_eq!(SignalMsg::decode(&frame), None, "JSON {msg:?} accepted");
+            assert_eq!(MsgClass::of_frame(&frame), MsgClass::Greeter);
+            assert_ne!(MsgClass::of_frame(&msg.encode()), MsgClass::Greeter);
+        }
     }
 
     #[test]

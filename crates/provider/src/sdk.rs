@@ -23,7 +23,7 @@
 use std::collections::{HashSet, VecDeque};
 use std::time::Duration;
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{Bytes, BytesMut};
 use pdn_media::{DeliverySource, MediaPlaylist, Player, Segment, SegmentId, VideoId};
 use pdn_simnet::{Addr, SimRng, SimTime};
 use pdn_webrtc::{
@@ -33,7 +33,7 @@ use pdn_webrtc::{
 use crate::proto::{HttpRequest, HttpResponse, P2pMsg, SignalMsg};
 use crate::signaling::compute_im;
 use crate::state::{AvailMap, VecMap};
-use crate::wire::{self, InternTable, P2pRef, P2pView, WireMode};
+use crate::wire::{self, InternTable, P2pRef, P2pView};
 
 /// Well-known local ports of a peer.
 pub mod ports {
@@ -480,7 +480,9 @@ impl PdnAgent {
                 if video != self.config.video.0 {
                     return Vec::new();
                 }
-                let (Some(im), Some(sig)) = (parse_hex32(&im), parse_hex32(&sig)) else {
+                let (Some(im), Some(sig)) =
+                    (pdn_crypto::parse_hex32(&im), pdn_crypto::parse_hex32(&sig))
+                else {
                     return Vec::new();
                 };
                 if !crate::signaling::SignalingServer::verify_sim_keyed(&self.sim_hmac, &im, &sig) {
@@ -1572,13 +1574,7 @@ impl P2pTx<'_> {
             return;
         };
         self.scratch.clear();
-        match wire::wire_mode() {
-            WireMode::Binary => wire::encode_p2p_into(msg, self.intern, self.scratch),
-            WireMode::JsonBaseline => {
-                let frame = wire::json_baseline::encode_p2p(&msg.to_owned_msg());
-                self.scratch.put_slice(&frame);
-            }
-        }
+        wire::encode_p2p_into(msg, self.intern, self.scratch);
         let records = match chan.send_message(&self.scratch[..]) {
             Ok(records) => records,
             Err(_) => return,
@@ -1649,17 +1645,6 @@ fn hash_cost(bytes: usize) -> Duration {
     Duration::from_nanos(bytes as u64 * costs::HASH_NS_PER_BYTE)
 }
 
-fn parse_hex32(s: &str) -> Option<[u8; 32]> {
-    if s.len() != 64 {
-        return None;
-    }
-    let mut out = [0u8; 32];
-    for i in 0..32 {
-        out[i] = u8::from_str_radix(&s[i * 2..i * 2 + 2], 16).ok()?;
-    }
-    Some(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1702,6 +1687,37 @@ mod tests {
             "Player inline size grew (now {})",
             std::mem::size_of::<pdn_media::Player>()
         );
+    }
+
+    #[test]
+    fn hostile_hex_sim_broadcast_is_dropped() {
+        let mut a = agent();
+        let im = [0x11u8; 32];
+        let sig = pdn_crypto::hmac::hmac_sha256(&a.config.sim_key, &im);
+        let broadcast = |im: String, sig: String| SignalMsg::SimBroadcast {
+            video: "v".into(),
+            rendition: 0,
+            seq: 5,
+            im,
+            sig,
+        };
+        // 64 bytes whose second character is two bytes wide, in either
+        // field a MITM can rewrite.
+        let split_char = format!("a\u{e9}{}", "a".repeat(61));
+        assert_eq!(split_char.len(), 64);
+        for (im, sig) in [
+            (split_char.clone(), pdn_crypto::hex(&sig)),
+            (pdn_crypto::hex(&im), split_char),
+        ] {
+            assert!(a.on_signal(broadcast(im, sig), SimTime::ZERO).is_empty());
+        }
+        assert!(a.sims.is_empty());
+        // The untampered broadcast is accepted.
+        a.on_signal(
+            broadcast(pdn_crypto::hex(&im), pdn_crypto::hex(&sig)),
+            SimTime::ZERO,
+        );
+        assert_eq!(a.sims.get((0, 5)), Some(&(im, sig)));
     }
 
     #[test]

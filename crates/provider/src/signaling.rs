@@ -27,9 +27,9 @@
 //!   caps) so attack-driven reports cannot grow server memory without
 //!   bound; evictions are counted in [`DefenseStats::im_evictions`].
 //!
-//! The pre-refactor implementation is preserved as
-//! [`crate::state_baseline::BaselineSignalingServer`] and differential
-//! tests pin the two to byte-identical reply streams.
+//! The pre-refactor implementation is kept as a test-only oracle,
+//! `BaselineSignalingServer` under the crate's `tests/support/`, and the
+//! `state_differential` tests pin the two to byte-identical reply streams.
 
 use std::collections::VecDeque;
 
@@ -433,7 +433,7 @@ impl SignalingServer {
         geoip: &GeoIpService,
         out: &mut Vec<(Addr, bytes::Bytes)>,
     ) {
-        if self.join_fast_path && crate::wire::wire_mode() == crate::wire::WireMode::Binary {
+        if self.join_fast_path {
             if let Some(view) = crate::wire::decode_join_view(frame) {
                 self.on_join_frame(from, &view, frame, now, geoip, None, out);
                 return;
@@ -477,7 +477,7 @@ impl SignalingServer {
         out: &mut Vec<(Addr, bytes::Bytes)>,
     ) {
         batch.clear();
-        let fast = self.join_fast_path && crate::wire::wire_mode() == crate::wire::WireMode::Binary;
+        let fast = self.join_fast_path;
         let mut replies = std::mem::take(&mut self.reply_scratch);
         for (from, frame) in frames {
             if fast {
@@ -1074,7 +1074,7 @@ impl SignalingServer {
         if self.blacklist.contains(&peer_id) {
             return;
         }
-        let Some(im) = parse_hex32(&im_hex) else {
+        let Some(im) = pdn_crypto::parse_hex32(&im_hex) else {
             return;
         };
 
@@ -1305,17 +1305,6 @@ pub fn compute_im(data: &[u8], video: &str, rendition: u8, seq: u64) -> [u8; 32]
     h.update(&[rendition]);
     h.update(&seq.to_be_bytes());
     h.finalize()
-}
-
-pub(crate) fn parse_hex32(s: &str) -> Option<[u8; 32]> {
-    if s.len() != 64 {
-        return None;
-    }
-    let mut out = [0u8; 32];
-    for i in 0..32 {
-        out[i] = u8::from_str_radix(&s[i * 2..i * 2 + 2], 16).ok()?;
-    }
-    Some(out)
 }
 
 #[cfg(test)]
@@ -1580,6 +1569,39 @@ mod tests {
         assert_eq!(sims, 2);
         assert_eq!(s.defense_stats().sims_issued, 1);
         assert_eq!(s.defense_stats().im_conflicts, 0);
+    }
+
+    #[test]
+    fn hostile_hex_im_report_frame_is_dropped() {
+        let (mut s, geo, _src) = hardened_server_with_origin();
+        s.handle(addr(1), join("x", "v", "k", 1), SimTime::ZERO, &geo);
+        // 64 bytes, but the second character is two bytes wide: a parser
+        // that slices the string in byte pairs splits it and panics.
+        let im = format!("a\u{e9}{}", "a".repeat(61));
+        assert_eq!(im.len(), 64);
+        let frame = SignalMsg::ImReport {
+            video: "v".into(),
+            rendition: 0,
+            seq: 5,
+            im,
+        }
+        .encode();
+        assert!(s
+            .handle_frame(addr(1), &frame, SimTime::ZERO, &geo)
+            .is_empty());
+        // A sign is not a hex digit either.
+        let frame = SignalMsg::ImReport {
+            video: "v".into(),
+            rendition: 0,
+            seq: 5,
+            im: format!("+f{}", "0".repeat(62)),
+        }
+        .encode();
+        assert!(s
+            .handle_frame(addr(1), &frame, SimTime::ZERO, &geo)
+            .is_empty());
+        assert_eq!(s.defense_stats().im_conflicts, 0);
+        assert_eq!(s.defense_stats().sims_issued, 0);
     }
 
     #[test]

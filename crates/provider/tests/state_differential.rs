@@ -1,5 +1,5 @@
 //! Differential tests: the interned/slab/bitmap swarm-state engine vs the
-//! preserved generic-collection baseline (`state_baseline`).
+//! preserved generic-collection baseline (`support/state_baseline.rs`).
 //!
 //! Both servers are driven with the same message sequences and must produce
 //! identical reply streams — same destinations, same messages, same order —
@@ -11,12 +11,19 @@ use pdn_media::{OriginServer, VideoSource};
 use pdn_provider::proto::SignalMsg;
 use pdn_provider::signaling::{MatchingPolicy, SignalingServer};
 use pdn_provider::state::AvailMap;
-use pdn_provider::state_baseline::{BaselineAvail, BaselineSignalingServer};
 use pdn_provider::{compute_im, CustomerAccount, ProviderProfile};
 use pdn_simnet::{Addr, GeoInfo, GeoIpService, SimRng, SimTime};
 use pdn_webrtc::{Candidate, CandidateKind, Certificate, SessionDescription};
 use proptest::prelude::*;
 use std::time::Duration;
+
+// The oracle keeps the whole API of the server it mirrors; this suite
+// drives only part of it.
+#[allow(dead_code)]
+#[path = "support/state_baseline.rs"]
+mod state_baseline;
+
+use state_baseline::{BaselineAvail, BaselineSignalingServer};
 
 fn sdp(seed: u64) -> SessionDescription {
     let mut rng = SimRng::seed(seed);

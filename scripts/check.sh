@@ -41,6 +41,8 @@ run_gate "perfbench tests (the benchmark package still builds against the crates
 
 run_gate "crypto differential tests (HMAC vs baseline)" \
   cargo test --offline -p pdn-crypto --quiet diff_tests
+run_gate "wire differential tests (binary codec vs the pdn_bench::json_baseline oracle)" \
+  cargo test --offline -p pdn-bench --test wire_differential --quiet
 run_gate "crypto gate (fast-path speedup/alloc asserts)" \
   cargo run --release --offline -p pdn-bench --bin crypto_bench -- --quick
 
@@ -66,8 +68,9 @@ echo "==> hot-path hash lint (no std::collections::HashMap on swarm-state hot pa
 # state lives in ordered maps), as do the service plane's bounded inboxes
 # and open-loop harness; the federated tracker plane (PR 10) keeps the
 # same stance in the region-shard router. SipHash maps must not creep
-# back into those files; the preserved baseline (state_baseline.rs) and
-# test code are exempt by not being listed here.
+# back into those files; test code, including the state-differential
+# oracle (crates/provider/tests/support/state_baseline.rs), is exempt by
+# not being listed here.
 hot_paths=(
   crates/provider/src/sdk.rs
   crates/provider/src/signaling.rs
